@@ -1646,7 +1646,15 @@ let baseline_records ~reps () =
   let add experiment metric value hard =
     recs := { B.experiment; metric; value; hard } :: !recs
   in
-  let flow_case tag design_name rate run =
+  (* Connection-search effort of one run, Ch. 4 heuristic plus Ch. 6
+     sub-bus search: the size of the depth-first tree, which a faster
+     search must keep and a pruning one may only shrink. *)
+  let search_effort () =
+    let count name = Mcs_obs.Metrics.count (Mcs_obs.Metrics.counter name) in
+    ( count "heuristic.nodes" + count "subbus.search_nodes",
+      count "heuristic.backtracks" + count "subbus.backtracks" )
+  in
+  let flow_case ?(search = false) tag design_name rate run =
     if want tag then begin
       let experiment = Printf.sprintf "%s.%s.r%d" tag design_name rate in
       let runs =
@@ -1654,13 +1662,18 @@ let baseline_records ~reps () =
             Mcs_obs.Metrics.reset ();
             let t0 = Unix.gettimeofday () in
             let r = attempt run in
-            (r, Unix.gettimeofday () -. t0))
+            let wall = Unix.gettimeofday () -. t0 in
+            ((r, search_effort ()), wall))
       in
       match fst (List.hd runs) with
-      | Error m -> Format.eprintf "baseline: %s FAILED (%s)@." experiment m
-      | Ok (pins, pipe) ->
+      | Error m, _ -> Format.eprintf "baseline: %s FAILED (%s)@." experiment m
+      | Ok (pins, pipe), (nodes, backtracks) ->
           add experiment "pins" (float_of_int pins) true;
           add experiment "pipe" (float_of_int pipe) true;
+          if search then begin
+            add experiment "search_nodes" (float_of_int nodes) true;
+            add experiment "backtracks" (float_of_int backtracks) true
+          end;
           add experiment "wall_s" (median (List.map snd runs)) false
     end
   in
@@ -1670,7 +1683,7 @@ let baseline_records ~reps () =
   flow_case "ch3" "ar-simple" 2 (fun () ->
       Result.map totals
         (run_flow F.Ch3 (Benchmarks.ar_simple ()) ~rate:2 ~mode:C.Unidir));
-  flow_case "ch4" "ar-general" 3 (fun () ->
+  flow_case ~search:true "ch4" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch4 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Unidir));
   flow_case "ch5" "ar-general" 4 (fun () ->
@@ -1678,7 +1691,7 @@ let baseline_records ~reps () =
         (run_flow F.Ch5
            (Benchmarks.ar_general ())
            ~rate:4 ~pipe_length:9 ~mode:C.Bidir));
-  flow_case "ch6" "ar-general" 3 (fun () ->
+  flow_case ~search:true "ch6" "ar-general" 3 (fun () ->
       Result.map totals
         (run_flow F.Ch6 (Benchmarks.ar_general ()) ~rate:3 ~mode:C.Bidir));
   if want "ilp" then begin

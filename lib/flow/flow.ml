@@ -522,10 +522,29 @@ let run_ch6 pass policy (s : spec) =
         (fun () ->
           match SB.search ~budget s.cdfg s.cons ~rate:s.rate ~slot_cap:cap () with
           | Ok ra -> Ok ra
-          | Error m ->
+          | Error err ->
+              (match err with
+              | SB.Exhausted e ->
+                  (* The search's own node limit leaves this cap undecided.
+                     The sweep goes on as for an infeasible cap, but the
+                     result says which cap it could not settle. *)
+                  Pass.record pass
+                    (Diag.warning ~code:Diag.No_connection
+                       ~phase:"ch6.connect"
+                       ~data:
+                         [
+                           ("slot_cap", string_of_int cap);
+                           ("resource", Budget.resource_to_string e.resource);
+                           ("limit", string_of_int e.limit);
+                           ("spent", string_of_int e.spent);
+                         ]
+                       "slot cap %d undecided: sub-bus search hit its \
+                        %d-node limit after %d nodes"
+                       cap e.limit e.spent)
+              | SB.Infeasible -> ());
               Error
                 (Diag.error ~code:Diag.No_connection ~phase:"ch6.connect" "%s"
-                   m))
+                   (SB.error_message err)))
     in
     let* t =
       Pass.phase pass "schedule"

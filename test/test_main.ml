@@ -8,6 +8,7 @@ let () =
       Suite_sched.suite;
       Suite_connect.suite;
       Suite_core.suite;
+      Suite_search_oracle.suite;
       Suite_sim.suite;
       Suite_rtl.suite;
       Suite_partition.suite;
