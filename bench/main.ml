@@ -580,9 +580,9 @@ let m_pivots = Mcs_obs.Metrics.counter "simplex.pivots"
 let m_fpivots = Mcs_obs.Metrics.counter "fsimplex.pivots"
 let m_nodes = Mcs_obs.Metrics.counter "bb.nodes"
 
-(* Under the default float-certified arithmetic most pivots land in
-   [fsimplex.pivots]; experiments that run whatever arith the flow picks
-   (the serve grid) count both so the numbers survive either mode. *)
+(* Flow solves pivot on the float tableau ([fsimplex.pivots]); only the
+   exact fallback of an uncertified subtree pivots in [simplex.pivots].
+   Experiments over whole flows (the serve grid) count both. *)
 let all_pivots () = Mcs_obs.Metrics.count m_pivots + Mcs_obs.Metrics.count m_fpivots
 
 let ilp_measure (d : Benchmarks.design) rate =
@@ -620,7 +620,6 @@ let ilp_measure (d : Benchmarks.design) rate =
 
 (* ---- Hybrid arithmetic: float-first certified vs exact rational ---- *)
 
-let m_fpivots = Mcs_obs.Metrics.counter "fsimplex.pivots"
 let m_certify_ok = Mcs_obs.Metrics.counter "ilp.certify.ok"
 let m_certify_fail = Mcs_obs.Metrics.counter "ilp.certify.fail"
 
@@ -638,10 +637,7 @@ let ilp_measure_float (d : Benchmarks.design) rate =
   and fail0 = Mcs_obs.Metrics.count m_certify_fail in
   Gc.full_major () (* same timing hygiene as [ilp_measure] *);
   let t0 = Unix.gettimeofday () in
-  let fl =
-    Mcs_ilp.Branch_bound.solve ~arith:Mcs_ilp.Fsimplex.Float_certified
-      ~integer p
-  in
+  let fl, _ = Mcs_ilp.Branch_bound.solve_float ~integer p in
   let fwall = Unix.gettimeofday () -. t0 in
   let ra = Mcs_ilp.Branch_bound.solve ~integer p in
   let agree =
@@ -673,8 +669,8 @@ let ilp_grid_measure (d : Benchmarks.design) ~chained =
       if not chained then Mcs_ilp.Warm.clear ();
       let cons = Benchmarks.constraints_for d ~rate in
       ignore
-        (Simple_part.Pin_ilp.feasible ~arith:Mcs_ilp.Fsimplex.Float_certified
-           d.Benchmarks.cdfg cons ~rate ~fixed:[]))
+        (Simple_part.Pin_ilp.feasible d.Benchmarks.cdfg cons ~rate
+           ~fixed:[]))
     ilp_grid_rates;
   let r =
     (Mcs_obs.Metrics.count m_fpivots - fp0, Unix.gettimeofday () -. t0)

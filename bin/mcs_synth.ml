@@ -245,51 +245,24 @@ let refine_fields = function
 
 let counter_count name = Mcs_obs.Metrics.(count (counter name))
 
-module Fs = Mcs_ilp.Fsimplex
-
-(* --arith: solver arithmetic for every ILP of the run, exported through
-   the MCS_ARITH environment channel so it reaches every layer that
-   defaults to [Fsimplex.arith_of_env] — including forked dse workers,
-   which inherit the environment.  Unknown values warn and keep the
-   default, like --trace and --log-level. *)
-let set_arith = function
-  | None -> ()
-  | Some s -> (
-      match String.lowercase_ascii s with
-      | "float" | "float-certified" -> Unix.putenv "MCS_ARITH" "float"
-      | "rational" | "exact" -> Unix.putenv "MCS_ARITH" "rational"
-      | _ -> Mcs_obs.Log.warn "unknown --arith %S (float|rational)" s)
-
-let arith_json_fields () =
+let certify_json_fields () =
   [
-    ("arith", J.Str (Fs.arith_to_string (Fs.arith_of_env ())));
     ("certify_ok", J.Int (counter_count "ilp.certify.ok"));
     ("certify_fail", J.Int (counter_count "ilp.certify.fail"));
     ("arith_fallbacks", J.Int (counter_count "bb.arith_fallbacks"));
   ]
 
 (* One exit line making degraded-to-rational solves visible without
-   --metrics; printed only when some simplex actually ran. *)
-let arith_exit_line () =
-  let ok = counter_count "ilp.certify.ok"
-  and fail = counter_count "ilp.certify.fail"
-  and fb = counter_count "bb.arith_fallbacks" in
-  if
-    ok + fail > 0
-    || counter_count "simplex.pivots" > 0
-    || counter_count "fsimplex.pivots" > 0
-  then
-    Format.fprintf fmt
-      "solver arithmetic: %s (%d certified, %d failed, %d rational \
-       fallback%s)@."
-      (Fs.arith_to_string (Fs.arith_of_env ()))
-      ok fail fb
-      (if fb = 1 then "" else "s")
+   --metrics. *)
+let certify_exit_line ~ok ~fail ~fallbacks =
+  Format.fprintf fmt
+    "solver certification: %d certified, %d failed, %d rational \
+     fallback%s@."
+    ok fail fallbacks
+    (if fallbacks = 1 then "" else "s")
 
 let synth design flow rate pipe_length ports check strict deadline_ms
-    no_fallback refine listing trace trace_out metrics json_file log_level
-    arith =
-  set_arith arith;
+    no_fallback refine listing trace trace_out metrics json_file log_level =
   (match log_level with
   | None -> ()
   | Some s -> (
@@ -428,7 +401,16 @@ let synth design flow rate pipe_length ports check strict deadline_ms
               | Error _ -> ());
               Format.fprintf fmt "@.%a" Mcs_obs.Metrics.pp_summary ()
             end;
-            arith_exit_line ();
+            (* Only when some simplex actually ran. *)
+            let ok = counter_count "ilp.certify.ok"
+            and fail = counter_count "ilp.certify.fail" in
+            if
+              ok + fail > 0
+              || counter_count "simplex.pivots" > 0
+              || counter_count "fsimplex.pivots" > 0
+            then
+              certify_exit_line ~ok ~fail
+                ~fallbacks:(counter_count "bb.arith_fallbacks");
             let json_code =
               match json_file with
               | None -> 0
@@ -459,7 +441,7 @@ let synth design flow rate pipe_length ports check strict deadline_ms
                   in
                   let report =
                     J.run_report ~flow ~design ~rate ~status ~wall_s:wall
-                      ~result:(fields @ arith_json_fields () @ journal_fields)
+                      ~result:(fields @ certify_json_fields () @ journal_fields)
                       ()
                   in
                   match J.write_file path report with
@@ -581,8 +563,7 @@ let grid_plan ?(refine = 0) designs_s flows_s rates_s pls_s =
        designs)
 
 let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
-    deadline_ms retry json_file trace_out arith =
-  set_arith arith;
+    deadline_ms retry json_file trace_out =
   match grid_plan ~refine designs_s flows_s rates_s pls_s with
   | Error m ->
       Format.eprintf "dse: %s@." m;
@@ -645,7 +626,7 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
              ])
            outcomes);
       let c name = counter_count ("engine." ^ name) in
-      (* Solver-arithmetic visibility: each worker reports its own share
+      (* Certification visibility: each worker reports its own share
          of the certification counters on its outcome (the parent's
          in-process counters never see a forked worker's solves). *)
       let sum_solver f =
@@ -666,12 +647,7 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
         "@.workers forked: %d; crashes: %d; timeouts: %d; retries: %d@."
         (c "pool.forks") (c "pool.crashes") (c "pool.timeouts")
         (c "pool.retries");
-      Format.fprintf fmt
-        "solver arithmetic: %s (%d certified, %d failed, %d rational \
-         fallback%s)@."
-        (Fs.arith_to_string (Fs.arith_of_env ()))
-        certify_ok certify_fail fallbacks
-        (if fallbacks = 1 then "" else "s");
+      certify_exit_line ~ok:certify_ok ~fail:certify_fail ~fallbacks;
       if cache <> None then
         Format.fprintf fmt "cache: %d hits, %d misses, %d stale@."
           (c "cache.hits") (c "cache.misses") (c "cache.stale");
@@ -710,9 +686,6 @@ let dse designs_s flows_s rates_s pls_s refine jobs cache_dir timeout
                             ("crashes", J.Int (c "pool.crashes"));
                             ("timeouts", J.Int (c "pool.timeouts"));
                             ("retries", J.Int (c "pool.retries"));
-                            ( "arith",
-                              J.Str
-                                (Fs.arith_to_string (Fs.arith_of_env ())) );
                             ("certify_ok", J.Int certify_ok);
                             ("certify_fail", J.Int certify_fail);
                             ("arith_fallbacks", J.Int fallbacks);
@@ -1008,19 +981,11 @@ let refine_arg =
   Arg.(value & opt ~vopt:3 int 0
        & info [ "refine" ] ~docv:"N" ~doc:refine_doc)
 
-let arith_arg =
-  Arg.(value & opt (some string) None & info [ "arith" ] ~docv:"MODE"
-         ~doc:"ILP solver arithmetic: $(b,float) (double-precision simplex \
-               with exact rational certification of every accepted basis, \
-               the default) or $(b,rational) (exact arithmetic throughout, \
-               the certification oracle).  Exported as $(b,MCS_ARITH), so \
-               forked dse workers inherit the choice.")
-
 let synth_term =
   Term.(
     const synth $ design $ flow $ rate $ pipe_length $ ports $ check
     $ strict $ deadline_ms $ no_fallback $ refine_arg $ listing $ trace
-    $ trace_out $ metrics $ json_file $ log_level $ arith_arg)
+    $ trace_out $ metrics $ json_file $ log_level)
 
 let dse_cmd =
   let designs =
@@ -1093,7 +1058,7 @@ let dse_cmd =
          ])
     Term.(
       const dse $ designs $ flows $ rates $ pipe_lengths $ refine_arg $ jobs
-      $ cache $ timeout $ deadline_ms $ retry $ json $ trace_out $ arith_arg)
+      $ cache $ timeout $ deadline_ms $ retry $ json $ trace_out)
 
 let client_cmd =
   let socket =

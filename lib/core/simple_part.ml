@@ -226,10 +226,9 @@ module Pin_ilp = struct
     Printf.sprintf "pin-ilp:%dp:%do" (Cdfg.n_partitions cdfg)
       (List.length (Cdfg.io_ops cdfg))
 
-  let feasible ?budget ?(method_ = `Branch_bound) ?arith cdfg cons ~rate
-      ~fixed =
+  let feasible ?budget cdfg cons ~rate ~fixed =
     let m = model cdfg cons ~rate ~fixed in
-    match Model.solve ?budget ~method_ ?arith ~warm_key:(warm_key cdfg) m with
+    match Model.solve ?budget ~warm_key:(warm_key cdfg) m with
     | Model.Optimal _ -> true
     (* A feasibility model with an integer point in hand is feasible even
        when the node budget ran out before proving it optimal. *)
@@ -246,13 +245,12 @@ module Pin_ilp = struct
         raise (Mcs_resilience.Budget.Out_of_budget e)
 end
 
-let hook ?budget ?method_ ?arith cdfg cons ~rate =
+let hook ?budget cdfg cons ~rate =
   let committed = ref [] in
   let io_can sched op ~cstep =
     ignore sched;
     let k = cstep mod rate in
-    Pin_ilp.feasible ?budget ?method_ ?arith cdfg cons ~rate
-      ~fixed:((op, k) :: !committed)
+    Pin_ilp.feasible ?budget cdfg cons ~rate ~fixed:((op, k) :: !committed)
   in
   let io_commit sched op ~cstep =
     ignore sched;
@@ -425,12 +423,12 @@ type result = {
   pins_needed : (int * int) list;
 }
 
-let run ?method_ (design : Benchmarks.design) ~rate =
+let run (design : Benchmarks.design) ~rate =
   let cdfg = design.Benchmarks.cdfg and mlib = design.Benchmarks.mlib in
   if not (is_simple cdfg) then
     invalid_arg "Simple_part.run: partitioning is not simple";
   let cons = Benchmarks.constraints_for design ~rate in
-  let io_hook = hook ?method_ cdfg cons ~rate in
+  let io_hook = hook cdfg cons ~rate in
   match
     Mcs_obs.Trace.with_span "ch3.schedule" (fun () ->
         Mcs_sched.List_sched.run cdfg mlib cons ~rate ~io_hook ())

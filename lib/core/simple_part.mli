@@ -28,12 +28,12 @@ module Pin_ilp : sig
 
   val feasible :
     ?budget:Mcs_resilience.Budget.t ->
-    ?method_:[ `Branch_bound | `Gomory ] ->
-    ?arith:Mcs_ilp.Fsimplex.arith ->
     Cdfg.t -> Constraints.t -> rate:int ->
     fixed:(Types.op_id * int) list -> bool
-  (** Decides the model; [`Gomory] is the dissertation's §3.3 cutting-plane
-      route, [`Branch_bound] (default) the exact reference.  A solver node
+  (** Decides the model with {!Mcs_ilp.Model.solve}, the certified
+      float-first branch & bound (the dissertation's §3.3 Gomory
+      cutting-plane route, {!Mcs_ilp.Gomory}, runs on the same
+      {!Mcs_ilp.Model.to_problem} in the tests).  A solver node
       limit that already found an integer point counts as feasible; a
       genuinely undecided node limit is treated as infeasible (safe for
       the scheduler: the operation is merely postponed).  Exhaustion of an
@@ -41,15 +41,12 @@ module Pin_ilp : sig
       {!Mcs_resilience.Budget.Out_of_budget} — the schedule attempt is out
       of time and the caller's degradation ladder decides what's next.
 
-      [arith] (default {!Mcs_ilp.Fsimplex.arith_of_env}) picks the solver
-      arithmetic; the float-certified mode registers its bases under a
-      rate-independent {!Mcs_ilp.Warm} key so neighboring rates chain. *)
+      Bases are registered under a rate-independent {!Mcs_ilp.Warm} key
+      so neighboring rates chain. *)
 end
 
 val hook :
   ?budget:Mcs_resilience.Budget.t ->
-  ?method_:[ `Branch_bound | `Gomory ] ->
-  ?arith:Mcs_ilp.Fsimplex.arith ->
   Cdfg.t -> Constraints.t -> rate:int -> Mcs_sched.List_sched.io_hook
 (** The safety checker of Fig. 3.4: before an I/O operation is scheduled in
     a control step, verify a completing pin allocation still exists. *)
@@ -85,7 +82,6 @@ type result = {
 }
 
 val run :
-  ?method_:[ `Branch_bound | `Gomory ] ->
   Benchmarks.design -> rate:int ->
   (result, string) Stdlib.result
 (** Whole Chapter 3 flow on a simple-partitioned design.

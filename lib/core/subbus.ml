@@ -882,56 +882,3 @@ let schedule_over ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~dynamic
               pins;
               static_pipe_length = None;
             }
-
-let attempt ?(budget = Budget.unlimited) cdfg mlib cons ~rate ~slot_cap
-    ~dynamic =
-  match
-    Mcs_obs.Trace.with_span "ch6.search"
-      ~attrs:[ ("slot_cap", string_of_int slot_cap) ]
-      (fun () -> search ~budget cdfg cons ~rate ~slot_cap ())
-  with
-  | Error e -> Error (error_message e)
-  | Ok ra -> schedule_over ~budget cdfg mlib cons ~rate ~dynamic ra
-
-let total_pins t = Mcs_util.Listx.sum snd t.pins
-
-(* Pin minimization is Chapter 6's whole point, so sweep the per-bus value
-   cap over its range and keep the schedulable result with fewest pins
-   (shorter pipe breaks ties). *)
-let run ?(budget = Budget.unlimited) cdfg mlib cons ~rate () =
-  let results =
-    List.filter_map
-      (fun cap ->
-        match attempt ~budget cdfg mlib cons ~rate ~slot_cap:cap ~dynamic:true with
-        | Ok t ->
-            Log.debug "[subbus] cap=%d: pins=%d pipe=%d splits=%d" cap
-              (total_pins t)
-              (Mcs_sched.Schedule.pipe_length t.schedule)
-              (List.length
-                 (List.filter (fun b -> b.split_at <> None) t.real_buses));
-            let static_pipe_length =
-              match
-                attempt ~budget cdfg mlib cons ~rate ~slot_cap:cap
-                  ~dynamic:false
-              with
-              | Ok t' -> Some (Mcs_sched.Schedule.pipe_length t'.schedule)
-              | Error _ -> None
-            in
-            Some { t with static_pipe_length }
-        | Error m ->
-            Log.debug "[subbus] cap=%d: %s" cap m;
-            None)
-      (List.rev (Mcs_util.Listx.range 1 (rate + 1)))
-  in
-  match
-    Mcs_util.Listx.min_by
-      (fun t ->
-        (1000 * total_pins t) + Mcs_sched.Schedule.pipe_length t.schedule)
-      results
-  with
-  | Some best -> Ok best
-  | None -> Error "no schedulable sub-bus connection found at any slot cap"
-
-let run_design (design : Benchmarks.design) ~rate =
-  let cons = Benchmarks.constraints_for_bidir design ~rate in
-  run design.Benchmarks.cdfg design.Benchmarks.mlib cons ~rate ()

@@ -78,30 +78,3 @@ val schedule_over :
     without re-searching.  [budget] exhaustion inside the scheduler raises
     {!Mcs_resilience.Budget.Out_of_budget} (it is not a property of this
     bus structure); other scheduling failures return [Error]. *)
-
-val attempt :
-  ?budget:Mcs_resilience.Budget.t ->
-  Cdfg.t ->
-  Module_lib.t ->
-  Constraints.t ->
-  rate:int ->
-  slot_cap:int ->
-  dynamic:bool ->
-  (t, string) result
-(** {!search} at one slot cap followed by {!schedule_over}. *)
-
-val run :
-  ?budget:Mcs_resilience.Budget.t ->
-  Cdfg.t ->
-  Module_lib.t ->
-  Constraints.t ->
-  rate:int ->
-  unit ->
-  (t, string) result
-(** Full Chapter 6 flow: connection synthesis with sub-bus sharing, then
-    list scheduling over the sub-slots with the restricted reassignment of
-    §6.2 (an I/O operation may take any capable free slice; chained
-    double-preemptions are pruned).  Retries with lower slot caps like the
-    Chapter 4 flow. *)
-
-val run_design : Benchmarks.design -> rate:int -> (t, string) result

@@ -9,7 +9,6 @@ type status =
 type check = Clean | Violations of int
 
 type solver = {
-  arith : string;
   certify_ok : int;
   certify_fail : int;
   arith_fallbacks : int;
@@ -103,7 +102,6 @@ let to_json o =
             ( "solver",
               J.Obj
                 [
-                  ("arith", J.Str s.arith);
                   ("certify_ok", J.Int s.certify_ok);
                   ("certify_fail", J.Int s.certify_fail);
                   ("fallbacks", J.Int s.arith_fallbacks);
@@ -193,11 +191,10 @@ let of_json j =
     match J.member "solver" j with
     | None -> Ok None
     | Some sj ->
-        let* arith = field "arith" J.to_str sj in
         let* certify_ok = field "certify_ok" J.to_int sj in
         let* certify_fail = field "certify_fail" J.to_int sj in
         let* arith_fallbacks = field "fallbacks" J.to_int sj in
-        Ok (Some { arith; certify_ok; certify_fail; arith_fallbacks })
+        Ok (Some { certify_ok; certify_fail; arith_fallbacks })
   in
   let* refine =
     (* absent = no refinement stage ran (every pre-refinement entry) *)

@@ -21,16 +21,16 @@ type status =
 (** Verdict of the {!Mcs_check} static analysis on a feasible result. *)
 type check = Clean | Violations of int  (** count of error diagnostics *)
 
-(** How the job's ILP solves ran: the arithmetic mode
-    ({!Mcs_ilp.Fsimplex.arith_to_string}) and the job's own share of the
+(** How the job's ILP solves ran: the job's own share of the
     certification counters, so a degraded-to-rational solve is visible in
-    the [mcs-dse/1] report it lands in.  Deterministic for a fixed job
+    the [mcs-dse/1] report it lands in.  (Entries written while the solver
+    arithmetic was selectable also carry an ["arith"] field; decoding
+    ignores it.)  Deterministic for a fixed job
     under the process-isolated pool (IEEE arithmetic plus fixed pivot
     tie-breaks pin the pivot sequence); in-process warm-start chaining can shift the
     counts with batch composition, so treat them as observability, never
     as identity. *)
 type solver = {
-  arith : string;
   certify_ok : int;
   certify_fail : int;
   arith_fallbacks : int;

@@ -96,9 +96,7 @@ let with_solver_stats f =
   let r = f () in
   let stats =
     {
-      Outcome.arith =
-        Mcs_ilp.Fsimplex.(arith_to_string (arith_of_env ()));
-      certify_ok = M.count c_certify_ok - ok0;
+      Outcome.certify_ok = M.count c_certify_ok - ok0;
       certify_fail = M.count c_certify_fail - fail0;
       arith_fallbacks = M.count c_arith_fallbacks - fb0;
     }

@@ -149,7 +149,7 @@ type node = {
    costs a few pivots instead of a two-phase solve from scratch.  A child
    can never be unbounded — its LP is the parent's (bounded, optimal) LP
    plus one constraint — so [Unbounded] is decided at the root alone. *)
-let solve_rational ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
+let solve ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
     (p : Simplex.problem) =
   if Array.length integer <> p.n_vars then
     invalid_arg "Branch_bound.solve: integer mask length mismatch";
@@ -324,7 +324,7 @@ let bound_rows n_vars chain =
       | `Ge b -> (unit_row n_vars var R.one, Simplex.Ge, R.of_int b))
     chain
 
-(* Same warm node loop as [solve_rational], but every pivot is a float64
+(* Same warm node loop as [solve], but every pivot is a float64
    row operation on the {!Fsimplex} tableau and exact arithmetic only runs
    at the leaves: candidate incumbents are certified (and re-derived) over
    rationals, infeasibility prunes carry a Farkas certificate, and a node
@@ -369,7 +369,7 @@ let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
       let rational_subtree chain =
         M.incr m_fallbacks;
         let p' = { p with Simplex.rows = p.rows @ bound_rows p.n_vars chain } in
-        match solve_rational ~budget ~max_nodes ~integer p' with
+        match solve ~budget ~max_nodes ~integer p' with
         | (Optimal s | Limit_feasible s) as r ->
             (match r with Limit_feasible _ -> hit_limit := true | _ -> ());
             if better_exact s.Simplex.value then begin
@@ -509,14 +509,14 @@ let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
              else begin
                M.incr m_fallbacks;
                wholesale :=
-                 Some (solve_rational ~budget ~max_nodes ~integer p)
+                 Some (solve ~budget ~max_nodes ~integer p)
              end
          | `Unbounded | `Stuck ->
              (* An unboundedness claim has no certificate in this scheme,
                 and a stalled root has no basis worth saving: hand the
                 whole problem to the exact path. *)
              M.incr m_fallbacks;
-             wholesale := Some (solve_rational ~budget ~max_nodes ~integer p)
+             wholesale := Some (solve ~budget ~max_nodes ~integer p)
          | `Optimal ->
              root_basis := Fsimplex.basic_structurals ft;
              consider 0 [];
@@ -534,12 +534,6 @@ let solve_float ?(budget = Budget.unlimited) ?(max_nodes = 200_000)
             | None, None, false -> Infeasible)
       in
       (res, !root_basis))
-
-let solve ?budget ?max_nodes ?(arith = Fsimplex.Rational) ?warm ~integer p =
-  match arith with
-  | Fsimplex.Rational -> solve_rational ?budget ?max_nodes ~integer p
-  | Fsimplex.Float_certified ->
-      fst (solve_float ?budget ?max_nodes ?warm ~integer p)
 
 (* Cold-start reference: re-solves the accumulated problem from scratch at
    every node (depth-first, first-fractional, floor branch first) — the
@@ -621,11 +615,11 @@ let solve_cold ?(budget = Budget.unlimited) ?(max_nodes = 200_000) ~integer
     | None, None, true -> Node_limit
     | None, None, false -> Infeasible
 
-let feasible ?budget ?max_nodes ?arith ?warm ~integer p =
+let feasible ?budget ?max_nodes ~integer p =
   let p =
     { p with Simplex.objective = Array.make p.Simplex.n_vars R.zero }
   in
-  match solve ?budget ?max_nodes ?arith ?warm ~integer p with
+  match solve ?budget ?max_nodes ~integer p with
   | Optimal _ | Limit_feasible _ -> Some true
   | Infeasible -> Some false
   | Unbounded -> Some true

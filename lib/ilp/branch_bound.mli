@@ -1,10 +1,15 @@
 (** Branch-and-bound (M)ILP solver over the exact-rational simplex.
 
-    Serves as the reference exact solver for the interchip-connection
-    formulations of Chapters 4 and 6 (the dissertation submitted those to
-    Bozo / Lindo) and cross-checks the Gomory path in the test suite.
+    Two searches share one node loop.  {!solve_float} is the production
+    route ({!Model.solve} calls it): pivots on a float64 tableau,
+    certified exactly at the leaves.  {!solve} is the exact rational
+    search it falls back to for any subtree whose certificate fails, and
+    the oracle the test suite and the bench pivot records are written
+    against; it also solves the interchip-connection formulations of
+    Chapters 4 and 6 in the tests (the dissertation submitted those to
+    Bozo / Lindo) and cross-checks the Gomory path.
 
-    The default {!solve} is {e warm-started}: the root LP relaxation is
+    {!solve} is {e warm-started}: the root LP relaxation is
     solved once with the two-phase primal simplex, and every search node
     thereafter restores its parent's optimal tableau
     ({!Simplex.Tab.snapshot} / [restore]), appends its single branching
@@ -33,8 +38,6 @@ type result =
 val solve :
   ?budget:Mcs_resilience.Budget.t ->
   ?max_nodes:int ->
-  ?arith:Fsimplex.arith ->
-  ?warm:int list ->
   integer:bool array ->
   Simplex.problem ->
   result
@@ -43,14 +46,7 @@ val solve :
     best-bound search (see the module description); [max_nodes] defaults
     to [200_000].  [budget] (default unlimited) charges one node per
     expanded search node and one pivot per simplex pivot across the whole
-    tree — float pivots included, so deadlines hold in both modes.
-
-    [arith] defaults to [Rational] {e at this layer} — the exact solver
-    is the oracle the test suite and the pivot budgets are written
-    against; {!Model.solve} and everything user-facing defaults to
-    {!Fsimplex.arith_of_env} instead.  With [Float_certified] this is
-    {!solve_float} (dropping the exported basis); [warm] only applies
-    there. *)
+    tree.  Exact rational arithmetic throughout. *)
 
 val solve_float :
   ?budget:Mcs_resilience.Budget.t ->
@@ -66,7 +62,8 @@ val solve_float :
     certificate, and a node whose certificate fails has {e its subtree
     only} re-solved by the exact warm {!solve} (counted in
     [bb.arith_fallbacks]).  Every solution that escapes is exact, so
-    results agree with {!solve} wherever both prove optimality.
+    results agree with {!solve} wherever both prove optimality.  [budget]
+    charges float pivots too, so deadlines hold on either path.
 
     [warm] steers the root LP toward a neighboring grid point's basis
     (structural column indices, from the {!Warm} registry); the returned
@@ -90,12 +87,11 @@ val solve_cold :
 val feasible :
   ?budget:Mcs_resilience.Budget.t ->
   ?max_nodes:int ->
-  ?arith:Fsimplex.arith ->
-  ?warm:int list ->
   integer:bool array ->
   Simplex.problem ->
   bool option
-(** Pure integer-feasibility query (the objective is ignored).
+(** Pure integer-feasibility query on the exact {!solve} (the objective
+    is ignored).
     [Some true] is also returned when the node budget ran out after an
     integer point was already found ({!Limit_feasible}); [None] only when
     the budget ran out with the question genuinely undecided. *)

@@ -14,17 +14,6 @@ let m_stuck = M.counter "fsimplex.stuck"
 let m_cert_ok = M.counter "ilp.certify.ok"
 let m_cert_fail = M.counter "ilp.certify.fail"
 
-type arith = Float_certified | Rational
-
-let arith_of_env () =
-  match Sys.getenv_opt "MCS_ARITH" with
-  | Some ("rational" | "exact") -> Rational
-  | _ -> Float_certified
-
-let arith_to_string = function
-  | Float_certified -> "float-certified"
-  | Rational -> "rational"
-
 (* Sign tolerance for cost/rhs tests, minimum pivot magnitude, and the
    near-integrality test branching decisions use.  The models here have
    small integer data, so these are generous — and a wrong call is never

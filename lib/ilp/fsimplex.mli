@@ -26,19 +26,6 @@
     guarantee): pivot sequences — and therefore the [fsimplex.pivots]
     counter and the bench baselines — are deterministic. *)
 
-(** Solver arithmetic policy, threaded through {!Model}, {!Branch_bound},
-    [Pin_ilp] and [Ilp_gen].  [Float_certified] is the default
-    everywhere user-facing; [MCS_ARITH=rational] (or [--arith rational])
-    restores the pure exact path. *)
-type arith = Float_certified | Rational
-
-val arith_of_env : unit -> arith
-(** [MCS_ARITH] = ["rational"] (or ["exact"]) selects {!Rational};
-    anything else — including unset — selects {!Float_certified}. *)
-
-val arith_to_string : arith -> string
-(** ["float-certified"] / ["rational"], as reported in [mcs-run/1]. *)
-
 type t
 (** A float tableau plus the exact ([<=]-form) row store certification
     reads.  Rows only grow ([restore] truncates), and row [k] always owns
@@ -47,7 +34,7 @@ type t
 val create : ?budget:Mcs_resilience.Budget.t -> Simplex.problem -> t
 (** Build the all-slack start tableau.  [budget] charges one pivot per
     float pivot — the same {!Mcs_resilience.Budget} pool the rational
-    path draws on, so deadlines hold in both arithmetic modes.
+    path draws on, so deadlines hold across the exact fallback too.
     @raise Invalid_argument on a row width mismatch. *)
 
 val solve_lp :

@@ -158,55 +158,39 @@ let wrap_solution t (s : Simplex.solution) =
         R.add s.x.(x) (R.of_int infos.(x).lo));
   }
 
-let solve ?budget ?(method_ = `Branch_bound)
-    ?(arith = Fsimplex.arith_of_env ()) ?warm_key t =
+let solve ?budget ?warm_key t =
   let p, integer = to_problem t in
-  match method_ with
-  | `Branch_bound -> (
-      let of_bb = function
-        | Branch_bound.Optimal s -> Optimal (wrap_solution t s)
-        | Branch_bound.Limit_feasible s -> Feasible (wrap_solution t s)
-        | Branch_bound.Infeasible -> Infeasible
-        | Branch_bound.Unbounded -> Unbounded
-        | Branch_bound.Node_limit -> Unknown
-        | Branch_bound.Exhausted e -> Exhausted e
-      in
-      match arith with
-      | Fsimplex.Rational -> of_bb (Branch_bound.solve ?budget ~integer p)
-      | Fsimplex.Float_certified ->
-          (* The warm registry speaks variable names, the solver speaks
-             structural columns; this is where the two meet. *)
-          let infos = Array.of_list (List.rev t.vars) in
-          let warm =
-            match warm_key with
-            | None -> []
-            | Some key -> (
-                match Warm.get key with
-                | None -> []
-                | Some names ->
-                    let idx = Hashtbl.create (Array.length infos) in
-                    Array.iteri
-                      (fun i (info : vinfo) -> Hashtbl.replace idx info.name i)
-                      infos;
-                    List.filter_map
-                      (fun name -> Hashtbl.find_opt idx name)
-                      names)
-          in
-          let r, basis = Branch_bound.solve_float ?budget ~warm ~integer p in
-          (match warm_key with
-          | Some key when basis <> [] ->
-              (* Store even when the search came up infeasible: the root
-                 LP basis is what neighbors warm-start from, and a rate
-                 sweep crosses the feasibility boundary mid-grid. *)
-              Warm.put key (List.map (fun j -> infos.(j).name) basis)
-          | _ -> ());
-          of_bb r)
-  | `Gomory -> (
-      match Gomory.solve ?budget p with
-      | Gomory.Optimal s -> Optimal (wrap_solution t s)
-      | Gomory.Infeasible -> Infeasible
-      | Gomory.Unbounded -> Unbounded
-      | Gomory.Gave_up -> Unknown)
+  (* The warm registry speaks variable names, the solver speaks structural
+     columns; this is where the two meet. *)
+  let infos = Array.of_list (List.rev t.vars) in
+  let warm =
+    match warm_key with
+    | None -> []
+    | Some key -> (
+        match Warm.get key with
+        | None -> []
+        | Some names ->
+            let idx = Hashtbl.create (Array.length infos) in
+            Array.iteri
+              (fun i (info : vinfo) -> Hashtbl.replace idx info.name i)
+              infos;
+            List.filter_map (fun name -> Hashtbl.find_opt idx name) names)
+  in
+  let r, basis = Branch_bound.solve_float ?budget ~warm ~integer p in
+  (match warm_key with
+  | Some key when basis <> [] ->
+      (* Store even when the search came up infeasible: the root LP basis
+         is what neighbors warm-start from, and a rate sweep crosses the
+         feasibility boundary mid-grid. *)
+      Warm.put key (List.map (fun j -> infos.(j).name) basis)
+  | _ -> ());
+  match r with
+  | Branch_bound.Optimal s -> Optimal (wrap_solution t s)
+  | Branch_bound.Limit_feasible s -> Feasible (wrap_solution t s)
+  | Branch_bound.Infeasible -> Infeasible
+  | Branch_bound.Unbounded -> Unbounded
+  | Branch_bound.Node_limit -> Unknown
+  | Branch_bound.Exhausted e -> Exhausted e
 
 let lp_relaxation t =
   let p, _ = to_problem t in

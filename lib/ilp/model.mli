@@ -76,7 +76,7 @@ type outcome =
           out before optimality was proven *)
   | Infeasible
   | Unbounded
-  | Unknown  (** solver node/cut limit hit with no feasible point in hand *)
+  | Unknown  (** solver node limit hit with no feasible point in hand *)
   | Exhausted of Mcs_resilience.Budget.exhausted
       (** an explicit {!Mcs_resilience.Budget.t} ran out (or the
           [exhaust-ilp] fault is injected) before any feasible point *)
@@ -88,24 +88,20 @@ val to_problem : t -> Simplex.problem * bool array
 
 val solve :
   ?budget:Mcs_resilience.Budget.t ->
-  ?method_:[ `Branch_bound | `Gomory ] ->
-  ?arith:Fsimplex.arith ->
   ?warm_key:string ->
   t ->
   outcome
-(** Defaults to branch & bound.  With the [`Gomory] method, budget
-    exhaustion reports [Unknown] (the cutting-plane loop cannot produce a
-    partial incumbent).
+(** Branch & bound on the float-first certified search
+    ({!Branch_bound.solve_float}): every solution is exact — the float
+    path certifies and re-derives its answers over rationals, and a
+    subtree whose certificate fails is re-solved exactly.  A solver node
+    limit with no integer point reports [Unknown].
 
-    [arith] (default {!Fsimplex.arith_of_env}, i.e. float-first unless
-    [MCS_ARITH=rational]) selects the solver arithmetic for the
-    branch-and-bound method; every solution is exact in either mode (the
-    float path certifies and re-derives its answers over rationals).
     [warm_key] names this call site in the cross-grid {!Warm} registry:
     the previous basis stored under the key steers the root LP as a warm
-    start, and this solve's root basis is stored back (float mode only —
-    keyed by {e variable names}, so neighboring grid points with the same
-    model shape chain even though their bounds differ). *)
+    start, and this solve's root basis is stored back (keyed by
+    {e variable names}, so neighboring grid points with the same model
+    shape chain even though their bounds differ). *)
 
 val lp_relaxation : t -> outcome
 val int_value : solution -> var -> int

@@ -80,10 +80,13 @@ let test_pin_ilp_gomory_agrees () =
   let some_fix = [ (List.hd (Cdfg.io_inputs_of_partition cdfg 3), 1) ] in
   List.iter
     (fun fixed ->
+      let p, _ =
+        Mcs_ilp.Model.to_problem
+          (Simple_part.Pin_ilp.model cdfg cons ~rate:2 ~fixed)
+      in
       checkb "methods agree" true
-        (Simple_part.Pin_ilp.feasible ~method_:`Gomory cdfg cons ~rate:2 ~fixed
-        = Simple_part.Pin_ilp.feasible ~method_:`Branch_bound cdfg cons ~rate:2
-            ~fixed))
+        (Mcs_ilp.Gomory.feasible p
+        = Some (Simple_part.Pin_ilp.feasible cdfg cons ~rate:2 ~fixed)))
     [ []; some_fix ]
 
 (* --- Chapter 3 flow --- *)
@@ -247,76 +250,83 @@ let test_ch5_ewf_rate5 () =
 
 (* --- Chapter 6 flow --- *)
 
+(* The Chapter 6 flow on a bundled design, with the buses and the sub-slot
+   allocation of the sub-bus connection it built. *)
+let run_ch6 d ~rate =
+  let module F = Mcs_flow.Flow in
+  match F.run F.Ch6 (F.spec_of_design ~flow:F.Ch6 d ~rate) with
+  | Error dg -> Alcotest.fail (Mcs_flow.Diag.message dg)
+  | Ok r -> (
+      match r.F.connection with
+      | Mcs_flow.Artifact.Subbuses { buses; allocation; _ } ->
+          (r, buses, allocation)
+      | _ -> Alcotest.fail "ch6 built no sub-bus connection")
+
 let test_ch6_ar () =
   let d = Benchmarks.ar_general () in
-  match Subbus.run_design d ~rate:4 with
-  | Error m -> Alcotest.fail m
-  | Ok t ->
-      checkb "valid schedule" true (Mcs_sched.Schedule.verify t.schedule = Ok ());
-      let cdfg = d.Benchmarks.cdfg in
-      (* Slices hold their assigned operations widthwise. *)
+  let r, buses, _ = run_ch6 d ~rate:4 in
+  checkb "valid schedule" true
+    (Mcs_sched.Schedule.verify r.Mcs_flow.Flow.schedule = Ok ());
+  let cdfg = d.Benchmarks.cdfg in
+  (* Slices hold their assigned operations widthwise. *)
+  List.iter
+    (fun (rb : Subbus.real_bus) ->
       List.iter
-        (fun (rb : Subbus.real_bus) ->
-          List.iter
-            (fun (w, s) ->
-              let width = Cdfg.io_width cdfg w in
-              match (rb.split_at, s) with
-              | None, Subbus.Whole -> checkb "fits" true (width <= rb.width)
-              | Some lo, Subbus.Lo -> checkb "fits lo" true (width <= lo)
-              | Some lo, Subbus.Hi -> checkb "fits hi" true (width <= rb.width - lo)
-              | Some _, Subbus.Whole -> checkb "fits whole" true (width <= rb.width)
-              | None, (Subbus.Lo | Subbus.Hi) -> Alcotest.fail "slice on unsplit bus")
-            rb.carried)
-        t.real_buses;
-      (* Pin totals match the port lists. *)
-      List.iter
-        (fun (p, n) ->
-          checki "pins consistent" n
-            (Mcs_util.Listx.sum
-               (fun (rb : Subbus.real_bus) ->
-                 Mcs_util.Listx.sum (fun (q, r) -> if q = p then r else 0) rb.ports)
-               t.real_buses))
-        t.pins
+        (fun (w, s) ->
+          let width = Cdfg.io_width cdfg w in
+          match (rb.split_at, s) with
+          | None, Subbus.Whole -> checkb "fits" true (width <= rb.width)
+          | Some lo, Subbus.Lo -> checkb "fits lo" true (width <= lo)
+          | Some lo, Subbus.Hi -> checkb "fits hi" true (width <= rb.width - lo)
+          | Some _, Subbus.Whole -> checkb "fits whole" true (width <= rb.width)
+          | None, (Subbus.Lo | Subbus.Hi) -> Alcotest.fail "slice on unsplit bus")
+        rb.carried)
+    buses;
+  (* Pin totals match the port lists. *)
+  List.iter
+    (fun (p, n) ->
+      checki "pins consistent" n
+        (Mcs_util.Listx.sum
+           (fun (rb : Subbus.real_bus) ->
+             Mcs_util.Listx.sum (fun (q, r) -> if q = p then r else 0) rb.ports)
+           buses))
+    r.Mcs_flow.Flow.pins
 
 let test_ch6_demo_needs_sharing () =
   let demo = Benchmarks.subbus_demo () in
   checkb "chapter-4 flow infeasible at 40 pins" true
     (Pre_connect.run_design demo ~rate:3 ~mode:Mcs_connect.Connection.Bidir
     |> Result.is_error);
-  match Subbus.run_design demo ~rate:3 with
-  | Error m -> Alcotest.fail m
-  | Ok t ->
-      checkb "sharing flow feasible" true
-        (Mcs_sched.Schedule.verify t.schedule = Ok ());
-      checkb "a bus actually split" true
-        (List.exists (fun (b : Subbus.real_bus) -> b.split_at <> None) t.real_buses);
-      checkb "P1 within 40 pins" true (List.assoc 1 t.pins <= 40)
+  let r, buses, _ = run_ch6 demo ~rate:3 in
+  checkb "sharing flow feasible" true
+    (Mcs_sched.Schedule.verify r.Mcs_flow.Flow.schedule = Ok ());
+  checkb "a bus actually split" true
+    (List.exists (fun (b : Subbus.real_bus) -> b.split_at <> None) buses);
+  checkb "P1 within 40 pins" true (List.assoc 1 r.Mcs_flow.Flow.pins <= 40)
 
 let test_ch6_allocation_no_half_conflicts () =
   let demo = Benchmarks.subbus_demo () in
-  match Subbus.run_design demo ~rate:3 with
-  | Error m -> Alcotest.fail m
-  | Ok t ->
-      (* At most one value per (bus, half, group): whole-bus entries count
-         on both halves. *)
-      let occupancy = Hashtbl.create 16 in
+  let _, _, allocation = run_ch6 demo ~rate:3 in
+  (* At most one value per (bus, half, group): whole-bus entries count
+     on both halves. *)
+  let occupancy = Hashtbl.create 16 in
+  List.iter
+    (fun ((bus, slice, g), (value, cstep, _)) ->
+      let halves =
+        match slice with
+        | Subbus.Lo -> [ `L ]
+        | Subbus.Hi -> [ `H ]
+        | Subbus.Whole -> [ `L; `H ]
+      in
       List.iter
-        (fun ((bus, slice, g), (value, cstep, _)) ->
-          let halves =
-            match slice with
-            | Subbus.Lo -> [ `L ]
-            | Subbus.Hi -> [ `H ]
-            | Subbus.Whole -> [ `L; `H ]
-          in
-          List.iter
-            (fun h ->
-              match Hashtbl.find_opt occupancy (bus, h, g) with
-              | Some (v', c') ->
-                  checkb "only same value+step may share" true
-                    (String.equal v' value && c' = cstep)
-              | None -> Hashtbl.add occupancy (bus, h, g) (value, cstep))
-            halves)
-        t.allocation
+        (fun h ->
+          match Hashtbl.find_opt occupancy (bus, h, g) with
+          | Some (v', c') ->
+              checkb "only same value+step may share" true
+                (String.equal v' value && c' = cstep)
+          | None -> Hashtbl.add occupancy (bus, h, g) (value, cstep))
+        halves)
+    allocation
 
 (* --- Extensions --- *)
 

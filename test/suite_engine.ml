@@ -112,6 +112,9 @@ let prop_job_roundtrip =
 
 (* --- Outcome codec --- *)
 
+let solver_counts =
+  { Outcome.certify_ok = 12; certify_fail = 1; arith_fallbacks = 1 }
+
 let test_outcome_roundtrip () =
   List.iter
     (fun o ->
@@ -128,7 +131,20 @@ let test_outcome_roundtrip () =
       outcome ~status:Outcome.Timed_out ~pins:[] (job ~flow:Job.Ch6 ());
       outcome ~check:Outcome.Clean (job ());
       outcome ~check:(Outcome.Violations 2) (job ~flow:Job.Ch3 ());
-    ]
+      { (outcome (job ())) with Outcome.solver = Some solver_counts };
+    ];
+  (* A cache entry written while the solver arithmetic was still
+     selectable carries an "arith" field: it must decode, counts intact. *)
+  let legacy =
+    {|{"job":"mcs-job/1|ar-general|ch4-unidir|r3|pl-","status":"feasible",|}
+    ^ {|"pins":[{"partition":0,"pins":8},{"partition":1,"pins":16}],|}
+    ^ {|"pipe_length":7,"fu_count":4,"solver":{"arith":"rational",|}
+    ^ {|"certify_ok":12,"certify_fail":1,"fallbacks":1}}|}
+  in
+  match Outcome.of_string legacy with
+  | Ok o ->
+      checkb "legacy solver counts" true (o.Outcome.solver = Some solver_counts)
+  | Error m -> Alcotest.fail m
 
 (* --- Pool --- *)
 

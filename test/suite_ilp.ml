@@ -352,11 +352,94 @@ let prop_float_matches_rational =
   QCheck.Test.make ~name:"float-certified BB matches rational BB" ~count:150
     random_ilp_arb (fun p ->
       same_bb_result
-        (Branch_bound.solve ~arith:Fsimplex.Float_certified
-           ~integer:[| true; true |] p)
+        (fst (Branch_bound.solve_float ~integer:[| true; true |] p))
         (Branch_bound.solve ~integer:[| true; true |] p))
 
-(* Both arithmetic modes on the pin-allocation ILP of every paper
+(* The production route ([Model.solve]: float-first, certified, steered by
+   the warm registry) against the exact rational search on the same
+   [Model.to_problem], over the three formulations the flows solve on small
+   random designs: same status, same exact objective (every variable of
+   these models has lower bound 0, so the objectives compare unshifted). *)
+let same_model_result (o : Model.outcome) r =
+  match (o, r) with
+  | Model.Optimal s, Branch_bound.Optimal x ->
+      R.equal s.Model.objective x.Simplex.value
+  | Model.Feasible _, Branch_bound.Limit_feasible _
+  | Model.Infeasible, Branch_bound.Infeasible
+  | Model.Unbounded, Branch_bound.Unbounded
+  | Model.Unknown, Branch_bound.Node_limit ->
+      true
+  | _ -> false
+
+let prop_model_solve_matches_rational =
+  let open Mcs_cdfg in
+  (* Two chips, and one Ch. 6 bus at rate 1 or 2, keep the exact search
+     under a second a case; Ch. 6 at rate 3 can take it close to a minute
+     to prove infeasible. *)
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 10_000 in
+      let* simple = bool in
+      let* pins = int_range 1 4 in
+      let* rate = int_range 1 3 in
+      let* fixed = list_size (int_bound 4) (int_bound 2) in
+      let* max_buses = int_range 1 3 in
+      let* subs = int_range 1 2 in
+      let* bidir = bool in
+      return (seed, simple, pins, rate, fixed, max_buses, subs, bidir))
+  in
+  let print (seed, simple, pins, rate, fixed, max_buses, subs, bidir) =
+    Printf.sprintf "%s:%d:2 pins=%d r%d fixed=%d ch4-buses=%d subs=%d %s"
+      (if simple then "rsimple" else "random")
+      seed (8 * pins) rate (List.length fixed) max_buses subs
+      (if bidir then "bidir" else "unidir")
+  in
+  QCheck.Test.make ~name:"Model.solve matches rational BB on flow ILPs"
+    ~count:30 (QCheck.make ~print gen)
+    (fun (seed, simple, pins, rate, fixed, max_buses, subs, bidir) ->
+      let n_partitions = 2 in
+      let cdfg =
+        if simple then
+          Random_design.generate_simple ~seed ~n_partitions ~ops_per_chip:2 ()
+        else Random_design.generate ~seed ~n_partitions ~n_ops:4 ()
+      in
+      let cons =
+        Constraints.create ~n_partitions ~fus:[]
+          ~pins:
+            (List.init (n_partitions + 1) (fun p ->
+                 (p, if p = 0 then 32 * pins else 8 * pins)))
+      in
+      let agree m =
+        let p, integer = Model.to_problem m in
+        same_model_result
+          (Model.solve ~warm_key:"prop" m)
+          (Branch_bound.solve ~integer p)
+      in
+      let pin_ilp () =
+        (* A random group for each of the first few I/O operations. *)
+        let fixed =
+          List.filteri (fun i _ -> i < List.length fixed) (Cdfg.io_ops cdfg)
+          |> List.mapi (fun i w -> (w, List.nth fixed i mod rate))
+        in
+        agree (Mcs_core.Simple_part.Pin_ilp.model cdfg cons ~rate ~fixed)
+      in
+      let mode =
+        if bidir then Mcs_connect.Connection.Bidir
+        else Mcs_connect.Connection.Unidir
+      in
+      let ok =
+        ((not simple) || pin_ilp ())
+        && agree
+             (fst
+                (Mcs_connect.Ilp_gen.Ch4.model cdfg cons ~rate ~mode ~max_buses))
+        && agree
+             (Mcs_connect.Ilp_gen.Ch6.model cdfg cons ~rate:(min rate 2)
+                ~max_buses:1 ~subs)
+      in
+      Warm.clear ();
+      ok)
+
+(* Float-first and exact search on the pin-allocation ILP of every paper
    benchmark at every rate the paper evaluates: same status, same
    objective.  (The certified float path is only ever allowed to return
    exact solutions, so equality here is [R.equal], not approximate.) *)
@@ -372,9 +455,7 @@ let test_arith_modes_agree_benchmarks () =
               ~rate ~fixed:[]
           in
           let p, integer = Model.to_problem m in
-          let fl =
-            Branch_bound.solve ~arith:Fsimplex.Float_certified ~integer p
-          in
+          let fl, _ = Branch_bound.solve_float ~integer p in
           let ra = Branch_bound.solve ~integer p in
           checkb
             (Printf.sprintf "%s rate %d: float and rational agree" name rate)
@@ -388,33 +469,50 @@ let test_arith_modes_agree_benchmarks () =
       ("subbus-demo", Mcs_cdfg.Benchmarks.subbus_demo);
     ]
 
-(* Whole ch3 flow under each arithmetic, strict checking: both must come
-   out checker-clean with the same schedule footprint. *)
+(* The strict-checked ch3 flow (pin checker on the production
+   [Model.solve]) against the same list scheduler driven by a test-local
+   checker that decides each pin ILP with the exact rational search: both
+   must reach the same pins and pipe length. *)
 let test_arith_modes_checker_clean () =
   let module F = Mcs_flow.Flow in
+  let module SP = Mcs_core.Simple_part in
   let d = Mcs_cdfg.Benchmarks.ar_simple () in
-  let with_arith arith f =
-    let prev = Sys.getenv_opt "MCS_ARITH" in
-    Unix.putenv "MCS_ARITH" arith;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "MCS_ARITH" (Option.value prev ~default:""))
-      f
-  in
-  let run arith =
-    with_arith arith @@ fun () ->
-    Warm.clear ();
-    let spec = F.spec_of_design ~flow:F.Ch3 d ~rate:2 in
+  let spec = F.spec_of_design ~flow:F.Ch3 d ~rate:2 in
+  Warm.clear ();
+  let flow =
     match Mcs_check.run ~level:Mcs_flow.Pass.Strict F.Ch3 spec with
     | Ok r -> r
-    | Error dg ->
-        Alcotest.failf "ch3 under %s arithmetic failed: %s" arith
-          (Mcs_flow.Diag.message dg)
+    | Error dg -> Alcotest.failf "ch3 failed: %s" (Mcs_flow.Diag.message dg)
   in
-  let a = run "float" and b = run "rational" in
-  checkb "pins equal across modes" true (a.F.pins = b.F.pins);
-  checkb "pipe length equal across modes" true
-    (a.F.pipe_length = b.F.pipe_length)
+  let committed = ref [] in
+  let rational_feasible op ~cstep =
+    let fixed = (op, cstep mod spec.F.rate) :: !committed in
+    let p, integer =
+      Model.to_problem (SP.Pin_ilp.model spec.F.cdfg spec.F.cons ~rate:2 ~fixed)
+    in
+    Branch_bound.feasible ~integer p = Some true
+  in
+  let io_hook =
+    {
+      Mcs_sched.List_sched.io_can = (fun _ op ~cstep -> rational_feasible op ~cstep);
+      io_commit =
+        (fun _ op ~cstep -> committed := (op, cstep mod spec.F.rate) :: !committed);
+    }
+  in
+  match
+    Mcs_sched.List_sched.run spec.F.cdfg spec.F.mlib spec.F.cons ~rate:2
+      ~io_hook ()
+  with
+  | Error _ -> Alcotest.fail "rationally checked list scheduling failed"
+  | Ok sched ->
+      let pins =
+        F.pins_of
+          ~n_partitions:(Mcs_cdfg.Cdfg.n_partitions spec.F.cdfg)
+          (Mcs_flow.Artifact.Bundles (SP.Theorem31.connect sched))
+      in
+      checkb "pins equal" true (flow.F.pins = pins);
+      checki "pipe length equal" flow.F.pipe_length
+        (Mcs_sched.Schedule.pipe_length sched)
 
 (* Seeded ill-conditioned LP: x <= 1 and x >= 1 + 2^-60 is infeasible,
    but float64 cannot see the gap, so the float path reaches an
@@ -436,7 +534,7 @@ let test_certification_failure_falls_back () =
   in
   let fail0 = Obs.count m_certify_fail and fb0 = Obs.count m_arith_fallbacks in
   (match
-     Branch_bound.solve ~arith:Fsimplex.Float_certified ~integer:[| false |] p
+     fst (Branch_bound.solve_float ~integer:[| false |] p)
    with
   | Branch_bound.Infeasible -> ()
   | _ -> Alcotest.fail "ill-conditioned LP must still come out infeasible");
@@ -446,7 +544,7 @@ let test_certification_failure_falls_back () =
     (Obs.count m_arith_fallbacks > fb0)
 
 (* Float pivots charge the same Budget pivot axis as rational ones, so a
-   deadline holds whichever arithmetic runs. *)
+   deadline holds on the float path and its exact fallback alike. *)
 let test_float_pivots_budgeted () =
   let d = Mcs_cdfg.Benchmarks.ar_general () in
   let cons = Mcs_cdfg.Benchmarks.constraints_for d ~rate:3 in
@@ -456,9 +554,7 @@ let test_float_pivots_budgeted () =
   in
   let p, integer = Model.to_problem m in
   let budget = Mcs_resilience.Budget.make ~pivots:5 () in
-  match
-    Branch_bound.solve ~budget ~arith:Fsimplex.Float_certified ~integer p
-  with
+  match fst (Branch_bound.solve_float ~budget ~integer p) with
   | Branch_bound.Exhausted e ->
       checkb "the pivot axis was the one exhausted" true
         (e.Mcs_resilience.Budget.resource = Mcs_resilience.Budget.Pivots)
@@ -473,8 +569,8 @@ let test_grid_warm_chain () =
   let solve rate =
     let cons = Mcs_cdfg.Benchmarks.constraints_for d ~rate in
     ignore
-      (Mcs_core.Simple_part.Pin_ilp.feasible ~arith:Fsimplex.Float_certified
-         d.Mcs_cdfg.Benchmarks.cdfg cons ~rate ~fixed:[])
+      (Mcs_core.Simple_part.Pin_ilp.feasible d.Mcs_cdfg.Benchmarks.cdfg cons
+         ~rate ~fixed:[])
   in
   let pivots f =
     let before = Obs.count m_fpivots in
@@ -587,8 +683,9 @@ let test_model_gomory_method () =
   let x = Model.int_var m ~hi:10 "x" and y = Model.int_var m ~hi:10 "y" in
   Model.add_le m (Model.add (Model.term 2 x) (Model.term 2 y)) (Model.const 7);
   Model.set_objective m (Model.add (Model.v x) (Model.v y));
-  match Model.solve ~method_:`Gomory m with
-  | Model.Optimal s -> checkb "value 3" true (R.equal s.Model.objective (R.of_int 3))
+  let p, _ = Model.to_problem m in
+  match Gomory.solve p with
+  | Gomory.Optimal s -> checkb "value 3" true (R.equal s.Simplex.value (R.of_int 3))
   | _ -> Alcotest.fail "gomory method failed"
 
 let test_model_pp_lp () =
@@ -650,4 +747,5 @@ let suite =
           prop_warm_matches_cold;
           prop_warm_matches_cold_mixed;
           prop_float_matches_rational;
+          prop_model_solve_matches_rational;
         ] )

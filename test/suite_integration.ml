@@ -5,6 +5,7 @@
 open Mcs_cdfg
 open Mcs_core
 module C = Mcs_connect.Connection
+module F = Mcs_flow.Flow
 
 let checkb = Alcotest.(check bool)
 
@@ -67,13 +68,14 @@ let test_shape_sharing_never_needs_more_pins () =
   List.iter
     (fun rate ->
       match
-        (Pre_connect.run_design d ~rate ~mode:C.Bidir, Subbus.run_design d ~rate)
+        ( Pre_connect.run_design d ~rate ~mode:C.Bidir,
+          F.run F.Ch6 (F.spec_of_design ~flow:F.Ch6 d ~rate) )
       with
       | Ok plain, Ok shared ->
           checkb
             (Printf.sprintf "rate %d" rate)
             true
-            (total shared.pins <= total plain.pins)
+            (total shared.F.pins <= total plain.pins)
       | _ -> Alcotest.fail "flows failed")
     [ 4; 5 ]
 

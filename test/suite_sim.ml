@@ -63,17 +63,17 @@ let test_ch5_functional () =
            ~bus_capable:(fun bus op -> C.capable r.connection cdfg ~bus op)
            ~seed:3 ~instances:8)
 
-let subbus_slots (t : Subbus.t) op =
-  let bus, slice = List.assoc op t.Subbus.final_assignment in
+let subbus_slots assignment op =
+  let bus, slice = List.assoc op assignment in
   match slice with
   | Subbus.Lo -> [ 2 * bus ]
   | Subbus.Hi -> [ (2 * bus) + 1 ]
   | Subbus.Whole -> [ 2 * bus; (2 * bus) + 1 ]
 
-let subbus_capable (d : Benchmarks.design) (t : Subbus.t) slot op =
+let subbus_capable (d : Benchmarks.design) buses assignment slot op =
   let cdfg = d.Benchmarks.cdfg in
-  let rb = List.nth t.Subbus.real_buses (slot / 2) in
-  let _, slice = List.assoc op t.Subbus.final_assignment in
+  let rb = List.nth buses (slot / 2) in
+  let _, slice = List.assoc op assignment in
   let width = Cdfg.io_width cdfg op in
   let port p = Option.value ~default:0 (List.assoc_opt p rb.Subbus.ports) in
   let need =
@@ -90,12 +90,20 @@ let subbus_capable (d : Benchmarks.design) (t : Subbus.t) slot op =
 let test_ch6_functional () =
   List.iter
     (fun (d, rate) ->
-      match Subbus.run_design d ~rate with
-      | Error m -> Alcotest.fail m
-      | Ok t ->
+      let module F = Mcs_flow.Flow in
+      match F.run F.Ch6 (F.spec_of_design ~flow:F.Ch6 d ~rate) with
+      | Error dg -> Alcotest.fail (Mcs_flow.Diag.message dg)
+      | Ok
+          {
+            F.schedule;
+            connection = Mcs_flow.Artifact.Subbuses { buses; assignment; _ };
+            _;
+          } ->
           ok_or_fail
-            (Sim.check_equivalent t.schedule ~bus_of:(subbus_slots t)
-               ~bus_capable:(subbus_capable d t) ~seed:11 ~instances:8))
+            (Sim.check_equivalent schedule ~bus_of:(subbus_slots assignment)
+               ~bus_capable:(subbus_capable d buses assignment) ~seed:11
+               ~instances:8)
+      | Ok _ -> Alcotest.fail "ch6 built no sub-bus connection")
     [ (Benchmarks.ar_general (), 4); (Benchmarks.subbus_demo (), 3) ]
 
 let test_machine_detects_bus_conflict () =
